@@ -1,4 +1,4 @@
-// Remote discovery: spawn a DatabaseServer on a loopback socket, connect
+// Remote discovery: spawn an EventDrivenServer on a loopback socket, connect
 // a RemoteHiddenDatabase client to it, and run SQ-DB-SKY through the
 // wire protocol — exactly as it would run in-process. Because
 // RemoteHiddenDatabase implements interface::HiddenDatabase, the
@@ -9,7 +9,7 @@
 //   ./examples/remote_discovery
 //
 // The public API surface used here:
-//   service::DatabaseServer        — serves any HiddenDatabase over TCP
+//   service::EventDrivenServer     — serves any HiddenDatabase over TCP
 //   service::RemoteHiddenDatabase  — HiddenDatabase backed by a socket
 //   core::SqDbSky                  — discovery, unchanged over the wire
 //   skyline::SkylineSFS            — local ground truth (we own the data)
@@ -22,8 +22,8 @@
 #include "dataset/synthetic.h"
 #include "interface/ranking.h"
 #include "interface/top_k_interface.h"
+#include "service/event_server.h"
 #include "service/remote_database.h"
-#include "service/server.h"
 #include "skyline/compute.h"
 
 int main() {
@@ -60,9 +60,9 @@ int main() {
   auto iface = std::move(iface_result).value();
 
   // Serve it on an ephemeral loopback port.
-  service::DatabaseServer::Options server_options;
+  service::EventDrivenServer::Options server_options;
   auto server_result =
-      service::DatabaseServer::Start(iface.get(), server_options);
+      service::EventDrivenServer::Start(iface.get(), server_options);
   if (!server_result.ok()) {
     std::fprintf(stderr, "serve: %s\n",
                  server_result.status().ToString().c_str());
@@ -119,14 +119,15 @@ int main() {
               static_cast<long long>(client_stats.bytes_received));
   server->Stop();
   const auto stats = server->stats();
-  std::printf("server accounting  : %lld served, %lld replayed, "
-              "%lld protocol errors\n",
+  std::printf("server accounting  : %lld served (%lld backend "
+              "executions), %lld replayed, %lld protocol errors\n",
               static_cast<long long>(stats.queries_served),
+              static_cast<long long>(stats.backend_executions),
               static_cast<long long>(stats.queries_replayed),
               static_cast<long long>(stats.protocol_errors));
 
-  // The wire added nothing and lost nothing: the backend saw exactly
-  // one execution per external query the algorithm issued.
+  // The wire added nothing and lost nothing: the server answered exactly
+  // one query per external query the algorithm issued.
   const bool accounted =
       stats.queries_served == discovery->query_cost &&
       client_stats.remote_queries == discovery->query_cost;

@@ -1,10 +1,8 @@
-// Shared serialization for the client-side answer caches.
+// Serialization for the client-side answer cache.
 //
-// CachingDatabase and ConcurrentCachingDatabase persist the same
-// versioned text format ("hdsky-cache-v1"), so a cache saved by one can
-// be loaded by the other — a serial discovery session's cache warms a
-// parallel one and vice versa. This header is the single owner of that
-// format.
+// CachingDatabase persists a versioned text format ("hdsky-cache-v1");
+// a cache saved by a serial discovery session warms a parallel one and
+// vice versa. This header is the single owner of that format.
 //
 // Layout: a header line `hdsky-cache-v1 <count>`, then one line per
 // entry: hex-encoded query signature, overflow flag, tuple count, and for

@@ -1,9 +1,9 @@
-#include "service/shared_cache.h"
+#include "interface/shared_cache.h"
 
 #include <utility>
 
 namespace hdsky {
-namespace service {
+namespace interface {
 
 using common::Status;
 
@@ -21,7 +21,7 @@ const SharedQueryCache::Shard& SharedQueryCache::ShardFor(
 
 SharedQueryCache::Lookup SharedQueryCache::StartLookup(
     const std::string& key,
-    std::shared_ptr<const interface::QueryResult>* out, Callback cb) {
+    std::shared_ptr<const QueryResult>* out, Callback cb) {
   Shard& shard = ShardFor(key);
   std::lock_guard<std::mutex> lock(shard.mu);
   auto it = shard.map.find(key);
@@ -43,7 +43,7 @@ SharedQueryCache::Lookup SharedQueryCache::StartLookup(
 
 void SharedQueryCache::Complete(
     const std::string& key, const Status& status,
-    std::shared_ptr<const interface::QueryResult> result) {
+    std::shared_ptr<const QueryResult> result) {
   std::vector<Callback> pending;
   {
     Shard& shard = ShardFor(key);
@@ -82,6 +82,33 @@ void SharedQueryCache::Complete(
   }
 }
 
+void SharedQueryCache::InsertReady(
+    const std::string& key, std::shared_ptr<const QueryResult> result) {
+  Shard& shard = ShardFor(key);
+  std::lock_guard<std::mutex> lock(shard.mu);
+  auto [it, inserted] = shard.map.try_emplace(key);
+  if (!inserted) return;
+  it->second.ready = true;
+  it->second.result = std::move(result);
+}
+
+std::vector<std::pair<std::string, std::shared_ptr<const QueryResult>>>
+SharedQueryCache::ReadySnapshot() const {
+  // Lock every shard (in index order) for a consistent snapshot.
+  std::unique_lock<std::mutex> locks[kNumShards];
+  for (size_t s = 0; s < kNumShards; ++s) {
+    locks[s] = std::unique_lock<std::mutex>(shards_[s].mu);
+  }
+  std::vector<std::pair<std::string, std::shared_ptr<const QueryResult>>>
+      out;
+  for (const Shard& shard : shards_) {
+    for (const auto& [key, entry] : shard.map) {
+      if (entry.ready) out.emplace_back(key, entry.result);
+    }
+  }
+  return out;
+}
+
 size_t SharedQueryCache::size() const {
   size_t total = 0;
   for (const Shard& shard : shards_) {
@@ -102,5 +129,5 @@ SharedQueryCache::Stats SharedQueryCache::stats() const {
   return s;
 }
 
-}  // namespace service
+}  // namespace interface
 }  // namespace hdsky

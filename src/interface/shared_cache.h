@@ -1,14 +1,12 @@
-// SharedQueryCache: the cross-session backend query cache with
-// single-flight semantics at the heart of the event-driven server.
+// SharedQueryCache: the one sharded answer store with single-flight
+// semantics, used across sessions by the event-driven server and in
+// front of any backend by the client-side CachingDatabase.
 //
 // The paper's scarce resource is queries against the rate-limited hidden
-// database. PR 2's replay cache already guarantees exactly-once
-// accounting *per session*; this cache lifts deduplication to *per
-// backend*: when N concurrent sessions discover the same hidden database
-// with the same algorithm, each distinct backend query is paid exactly
-// once — the first session to ask becomes the flight's owner, everyone
-// else joins the in-flight execution, and later sessions hit the cached
-// answer.
+// database. When N concurrent callers ask the same query, it is paid
+// exactly once — the first caller to ask becomes the flight's owner,
+// everyone else joins the in-flight execution, and later callers hit the
+// cached answer.
 //
 // Single-flight protocol:
 //   1. Lookup(key) with a completion callback. Outcomes:
@@ -22,19 +20,20 @@
 //      nothing (errors are never memoized — a transient backend failure
 //      must not poison the key forever).
 //
-// Threading: fully thread-safe; sharded like ConcurrentCachingDatabase so
-// unrelated keys never contend. Callbacks run on the Complete() caller's
-// thread and must not call back into the cache for the same key.
+// Threading: fully thread-safe; sharded by key hash so unrelated keys
+// never contend. Callbacks run on the Complete() caller's thread and
+// must not call back into the cache for the same key.
 // Results travel as shared_ptr<const QueryResult> so resolving a flight
 // with hundreds of waiters copies nothing.
 //
 // Capacity: max_entries bounds memory; when full, insertion evicts a
 // random-ish victim from the same shard (cheap, and discovery workloads
 // are sweep-shaped — precise LRU buys little over the paper's cost
-// model). In-flight entries are never evicted.
+// model). In-flight entries are never evicted. A client cache sets
+// max_entries = 0: an answer it paid for must never be paid for again.
 
-#ifndef HDSKY_SERVICE_SHARED_CACHE_H_
-#define HDSKY_SERVICE_SHARED_CACHE_H_
+#ifndef HDSKY_INTERFACE_SHARED_CACHE_H_
+#define HDSKY_INTERFACE_SHARED_CACHE_H_
 
 #include <atomic>
 #include <cstdint>
@@ -43,13 +42,14 @@
 #include <mutex>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/status.h"
 #include "interface/hidden_database.h"
 
 namespace hdsky {
-namespace service {
+namespace interface {
 
 class SharedQueryCache {
  public:
@@ -63,7 +63,7 @@ class SharedQueryCache {
   /// iff status is OK).
   using Callback = std::function<void(
       const common::Status&,
-      const std::shared_ptr<const interface::QueryResult>&)>;
+      const std::shared_ptr<const QueryResult>&)>;
 
   struct Options {
     /// Max ready entries kept (0 = unlimited).
@@ -84,14 +84,24 @@ class SharedQueryCache {
   /// cached answer and `cb` is never invoked; on kOwner/kWait, `cb` is
   /// retained until the flight completes.
   Lookup StartLookup(const std::string& key,
-                     std::shared_ptr<const interface::QueryResult>* out,
+                     std::shared_ptr<const QueryResult>* out,
                      Callback cb);
 
   /// Resolves the flight for `key`, invoking every retained callback
   /// (owner's included). OK results are cached; errors are not. Calling
   /// Complete for a key with no in-flight entry is a no-op.
   void Complete(const std::string& key, const common::Status& status,
-                std::shared_ptr<const interface::QueryResult> result);
+                std::shared_ptr<const QueryResult> result);
+
+  /// Inserts a ready answer for a key that has no entry yet (loading a
+  /// persisted cache); an existing ready or in-flight entry is kept.
+  void InsertReady(const std::string& key,
+                   std::shared_ptr<const QueryResult> result);
+
+  /// Every ready entry, copied under all shard locks at once so the
+  /// snapshot is consistent (saving a persisted cache).
+  std::vector<std::pair<std::string, std::shared_ptr<const QueryResult>>>
+  ReadySnapshot() const;
 
   /// Ready entries currently cached (in-flight excluded).
   size_t size() const;
@@ -103,7 +113,7 @@ class SharedQueryCache {
 
   struct Entry {
     bool ready = false;
-    std::shared_ptr<const interface::QueryResult> result;
+    std::shared_ptr<const QueryResult> result;
     /// Callbacks of the owner and all joined waiters, pending Complete.
     std::vector<Callback> pending;
   };
@@ -124,7 +134,7 @@ class SharedQueryCache {
   std::atomic<int64_t> evictions_{0};
 };
 
-}  // namespace service
+}  // namespace interface
 }  // namespace hdsky
 
-#endif  // HDSKY_SERVICE_SHARED_CACHE_H_
+#endif  // HDSKY_INTERFACE_SHARED_CACHE_H_

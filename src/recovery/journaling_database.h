@@ -25,7 +25,9 @@
 // checkpoints itself between queries), compacting the journal into the
 // next epoch's snapshot.
 //
-// Thread safety: NONE — same single-threaded contract as CachingDatabase.
+// Thread safety: NONE — one discovery session drives it. Share it across
+// threads by stacking interface::CachingDatabase on top, which fetches
+// under one backend mutex.
 
 #ifndef HDSKY_RECOVERY_JOURNALING_DATABASE_H_
 #define HDSKY_RECOVERY_JOURNALING_DATABASE_H_

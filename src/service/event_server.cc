@@ -17,6 +17,7 @@ namespace service {
 
 using common::Result;
 using common::Status;
+using interface::SharedQueryCache;
 using net::FrameType;
 using net::WireStatus;
 

@@ -1,7 +1,8 @@
-// EventDrivenServer: the multi-tenant, event-driven core of the hidden-
-// database service — the successor of the thread-per-connection
-// DatabaseServer (server.h), built for thousands of concurrent
-// discovery sessions instead of a handful of loopback tests.
+// EventDrivenServer: serves any HiddenDatabase over the hdsky wire
+// protocol (net/wire.h) — the service's one server engine, built for
+// thousands of concurrent discovery sessions. A connection sends Hello
+// (its session id), gets a Descriptor (schema, k, remaining budget), then
+// streams Query frames, each answered by a Result or Status frame.
 //
 // Architecture
 //
@@ -36,22 +37,24 @@
 //    additionally stops reading from it (backpressure) until the
 //    backlog drains. Idle connections are evicted after idle_timeout_ms.
 //
-// Shared cross-session query cache
+// Exactly-once accounting and the shared query cache
 //
-//  The per-session replay cache (exactly-once accounting under retries,
-//  identical to DatabaseServer's) is kept, and a SharedQueryCache is
-//  layered across sessions: N sessions discovering the same database
-//  pay each distinct backend query once. Per-session budgets charge
-//  *client-visible* answers — a session is charged whether its answer
-//  came from the backend, the cache, or another session's in-flight
-//  execution — so budget accounting is indistinguishable from a
-//  cache-less server while backend load drops by the deduped ratio.
-//  Budget rejections and replays behave exactly as before.
+//  Clients tag queries with a per-session sequence number; the server
+//  remembers, per session, the last sequence it answered and the encoded
+//  reply. A retried sequence is answered from that replay cache without
+//  touching the backend, and sessions survive reconnects (the client
+//  re-sends its session id in Hello). A SharedQueryCache
+//  (interface/shared_cache.h) is layered across sessions: N sessions
+//  discovering the same database pay each distinct backend query once.
+//  Per-session budgets charge *client-visible* answers — a session is
+//  charged whether its answer came from the backend, the cache, or
+//  another session's in-flight execution — so budget accounting is
+//  indistinguishable from a cache-less server while backend load drops
+//  by the deduped ratio.
 //
-// Wire compatibility: speaks the same protocol as DatabaseServer, so
-// RemoteHiddenDatabase and all PR 4 resume machinery work unchanged;
-// additionally answers kStatsRequest frames with live ServiceStats so
-// load generators can compute the queries-deduped ratio remotely.
+// Besides queries, the server answers kStatsRequest frames with live
+// ServiceStats so load generators can compute the queries-deduped ratio
+// remotely.
 
 #ifndef HDSKY_SERVICE_EVENT_SERVER_H_
 #define HDSKY_SERVICE_EVENT_SERVER_H_
@@ -71,10 +74,10 @@
 
 #include "common/status.h"
 #include "interface/hidden_database.h"
+#include "interface/shared_cache.h"
 #include "net/event_loop.h"
 #include "net/socket.h"
 #include "runtime/thread_pool.h"
-#include "service/shared_cache.h"
 
 namespace hdsky {
 namespace service {
@@ -228,7 +231,8 @@ class EventDrivenServer {
   /// Runs the query on the backend (optionally serialized) and counts it.
   common::Status ExecuteBackend(const interface::Query& query,
                                 interface::QueryResult* result);
-  SharedQueryCache::Callback MakeCompletion(Conn* conn, uint64_t seq);
+  interface::SharedQueryCache::Callback MakeCompletion(Conn* conn,
+                                                       uint64_t seq);
   Session* GetSession(uint64_t session_id);
 
   Conn* FindConn(size_t loop_index, uint64_t conn_id);
@@ -244,7 +248,7 @@ class EventDrivenServer {
   std::mutex sessions_mu_;
   std::unordered_map<uint64_t, std::unique_ptr<Session>> sessions_;
 
-  std::unique_ptr<SharedQueryCache> cache_;
+  std::unique_ptr<interface::SharedQueryCache> cache_;
 
   std::mutex backend_mu_;  // only used when serialize_backend
 

@@ -1,6 +1,6 @@
 // FaultInjectingProxy: a frame-aware man-in-the-middle for robustness
-// testing. It listens like a DatabaseServer, forwards every frame to a
-// real upstream server, and injects faults by policy:
+// testing. It listens like a server, forwards every frame to a real
+// upstream EventDrivenServer, and injects faults by policy:
 //
 //   * drop      — swallow a frame and kill the connection (the client sees
 //                 a reset or a read timeout, exactly like a flaky network),

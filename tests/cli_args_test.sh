@@ -58,7 +58,8 @@ expect_usage "budget-negative" "$DISCOVER" --demo route --budget -1
 expect_usage "serve-port-garbage" "$SERVE" --demo route --port 80h
 expect_usage "serve-max-conn-zero" "$SERVE" --demo route --max-connections 0
 
-# Event-driven engine flags: unknown engine names and malformed knobs.
+# Server knobs. The server has one engine and no --engine flag, so both
+# spellings below must now be rejected as unknown flags.
 expect_usage "serve-unknown-engine" "$SERVE" --demo route --engine fibers
 expect_usage "serve-engine-dangling" "$SERVE" --demo route --engine
 expect_usage "serve-loops-garbage" "$SERVE" --demo route --loops 2x

@@ -1,21 +1,22 @@
 // Concurrency tests for the shareable client-side substrate:
-// ConcurrentCachingDatabase under real multi-threaded load (the TSan CI
-// job's main target) plus its accounting invariants, persistence-format
-// interop with CachingDatabase, and the thread-safe query accounting of
+// CachingDatabase under real multi-threaded load (the TSan CI job's main
+// target) plus its accounting invariants, single-flight error handling,
+// persistence across instances, and the thread-safe query accounting of
 // TopKInterface itself.
 
 #include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <memory>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "dataset/synthetic.h"
 #include "interface/caching_database.h"
-#include "interface/concurrent_caching_database.h"
 #include "interface/ranking.h"
 #include "interface/top_k_interface.h"
 #include "runtime/parallel_for.h"
@@ -59,7 +60,7 @@ std::vector<Query> MakeQueries(const data::Schema& schema, int count) {
   return queries;
 }
 
-TEST(ConcurrentCachingDatabaseTest, MatchesSerialCacheAnswers) {
+TEST(CachingDatabaseConcurrencyTest, MatchesSerialCacheAnswers) {
   const data::Table t = MakeTable();
   const std::vector<Query> queries = MakeQueries(t.schema(), 64);
 
@@ -73,7 +74,7 @@ TEST(ConcurrentCachingDatabaseTest, MatchesSerialCacheAnswers) {
 
   // 8 threads, each executing every query against one shared decorator.
   auto backend = MakeBackend(&t);
-  ConcurrentCachingDatabase cached(backend.get());
+  CachingDatabase cached(backend.get());
   runtime::ThreadPool pool(kThreads);
   std::atomic<int> mismatches{0};
   runtime::ParallelFor(
@@ -88,8 +89,9 @@ TEST(ConcurrentCachingDatabaseTest, MatchesSerialCacheAnswers) {
       });
   EXPECT_EQ(mismatches.load(), 0);
 
-  // Each distinct query reached the backend exactly once (the
-  // double-checked miss path), so backend accounting matches serial.
+  // Each distinct query reached the backend exactly once (one flight
+  // per key; racing callers join it), so backend accounting matches
+  // serial.
   EXPECT_EQ(cached.misses(), static_cast<int64_t>(queries.size()));
   EXPECT_EQ(cached.hits(),
             static_cast<int64_t>((kThreads - 1) * queries.size()));
@@ -99,39 +101,7 @@ TEST(ConcurrentCachingDatabaseTest, MatchesSerialCacheAnswers) {
             serial_backend->stats().queries_issued);
 }
 
-TEST(ConcurrentCachingDatabaseTest, NonSerializedBackendStaysCoherent) {
-  // With serialize_backend = false the (thread-safe, static-ranking)
-  // backend may see duplicate fetches under races, but every answer
-  // must stay correct and accounting must still balance.
-  const data::Table t = MakeTable();
-  const std::vector<Query> queries = MakeQueries(t.schema(), 32);
-  auto backend = MakeBackend(&t);
-
-  ConcurrentCachingDatabase::Options opts;
-  opts.serialize_backend = false;
-  ConcurrentCachingDatabase cached(backend.get(), opts);
-
-  auto ref_backend = MakeBackend(&t);
-  std::vector<QueryResult> expected;
-  for (const Query& q : queries) {
-    expected.push_back(std::move(ref_backend->Execute(q)).value());
-  }
-
-  runtime::ThreadPool pool(kThreads);
-  std::atomic<int> mismatches{0};
-  const int64_t total = kThreads * static_cast<int64_t>(queries.size());
-  runtime::ParallelFor(pool, 0, total, [&](int64_t i) {
-    const size_t qi = static_cast<size_t>(i) % queries.size();
-    auto r = cached.Execute(queries[qi]);
-    if (!r.ok() || r->ids != expected[qi].ids) mismatches.fetch_add(1);
-  });
-  EXPECT_EQ(mismatches.load(), 0);
-  EXPECT_EQ(cached.hits() + cached.misses(), total);
-  EXPECT_GE(cached.misses(), static_cast<int64_t>(queries.size()));
-  EXPECT_EQ(cached.size(), static_cast<int64_t>(queries.size()));
-}
-
-TEST(ConcurrentCachingDatabaseTest, ErrorAccountingUnderBudget) {
+TEST(CachingDatabaseConcurrencyTest, ErrorAccountingUnderBudget) {
   // Mirror of CachingDatabaseTest.AccountsBackendErrorsSeparately, under
   // concurrency: failed fetches count as errors, cache nothing, and
   // hits + misses + errors == accepted Execute calls.
@@ -139,7 +109,7 @@ TEST(ConcurrentCachingDatabaseTest, ErrorAccountingUnderBudget) {
   const std::vector<Query> queries = MakeQueries(t.schema(), 16);
   const int64_t budget = 4;
   auto backend = MakeBackend(&t, 5, budget);
-  ConcurrentCachingDatabase cached(backend.get());
+  CachingDatabase cached(backend.get());
 
   runtime::ThreadPool pool(kThreads);
   std::atomic<int64_t> ok_count{0}, exhausted_count{0};
@@ -160,56 +130,70 @@ TEST(ConcurrentCachingDatabaseTest, ErrorAccountingUnderBudget) {
   EXPECT_EQ(cached.hits() + cached.misses() + cached.errors(), total);
 }
 
-TEST(ConcurrentCachingDatabaseTest,
-     RacingBudgetRejectionsKeepAccountingExact) {
-  // The sharpest case for TopKInterface's optimistic budget claim/undo:
-  // an unserialized concurrent cache racing threads straight into the
-  // budget gate, so admissions, undo-and-refuse paths, and cache inserts
-  // all interleave. The invariants must hold exactly:
-  //   hits + misses + errors == accepted Execute calls, and
-  //   the backend admitted precisely `budget` queries.
-  const data::Table t = MakeTable(500);
-  const int64_t budget = 24;
-  auto backend = MakeBackend(&t, 5, budget);
-  ConcurrentCachingDatabase::Options opts;
-  opts.serialize_backend = false;  // TopKInterface is thread-safe
-  ConcurrentCachingDatabase cached(backend.get(), opts);
+TEST(CachingDatabaseConcurrencyTest, FailedFlightFailsEveryCallerOnce) {
+  // kThreads callers ask for one uncached query while the backend fails.
+  // Whether a caller owned the flight or joined it, it gets the error;
+  // nothing is cached, and every caller counts as exactly one error.
+  const data::Table t = MakeTable(200);
+  auto real = MakeBackend(&t);
+  std::atomic<bool> failing{true};
+  std::atomic<int> arrived{0};
+  std::atomic<int> backend_calls{0};
+  auto flaky = [&](const Query& q) -> common::Result<QueryResult> {
+    backend_calls.fetch_add(1);
+    if (!failing.load()) return real->Execute(q);
+    // Hold the flight open until every caller has arrived, so the others
+    // have the chance to join it.
+    while (arrived.load() < kThreads) std::this_thread::yield();
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    return common::Status::Unavailable("backend down");
+  };
+  CallbackDatabase backend(t.schema(), real->k(), flaky);
+  CachingDatabase cached(&backend);
+  const Query q = MakeQueries(t.schema(), 1)[0];
 
-  runtime::ThreadPool pool(kThreads);
-  std::atomic<int64_t> ok_count{0}, exhausted_count{0}, other{0};
-  const int64_t total = 512;
-  runtime::ParallelFor(pool, 0, total, [&](int64_t i) {
-    // Distinct query per index so every call races for a budget unit
-    // (no intra-run cache hits except genuine cross-thread ones).
-    Query q(t.schema().num_attributes());
-    q.AddAtMost(static_cast<int>(i % 3), 1 + i % 47);
-    q.AddAtLeast(static_cast<int>((i + 1) % 3), i % 5);
-    auto r = cached.Execute(q);
-    if (r.ok()) {
-      ok_count.fetch_add(1);
-    } else if (r.status().IsResourceExhausted()) {
-      exhausted_count.fetch_add(1);
-    } else {
-      other.fetch_add(1);
+  std::atomic<int> unavailable{0};
+  {
+    std::vector<std::jthread> callers;
+    for (int i = 0; i < kThreads; ++i) {
+      callers.emplace_back([&] {
+        arrived.fetch_add(1);
+        if (cached.Execute(q).status().IsUnavailable()) {
+          unavailable.fetch_add(1);
+        }
+      });
     }
-  });
-  EXPECT_EQ(other.load(), 0);
-  EXPECT_EQ(ok_count.load() + exhausted_count.load(), total);
-  EXPECT_EQ(cached.hits() + cached.misses() + cached.errors(), total);
-  EXPECT_EQ(cached.errors(), exhausted_count.load());
-  // Claim/undo admitted exactly the budget, no unit lost to a race.
-  EXPECT_EQ(backend->stats().queries_issued, budget);
-  EXPECT_EQ(cached.misses(), budget);
-  EXPECT_EQ(backend->RemainingBudget(), 0);
+  }
+  EXPECT_EQ(unavailable.load(), kThreads);
+  EXPECT_EQ(cached.errors(), kThreads);
+  EXPECT_EQ(cached.hits(), 0);
+  EXPECT_EQ(cached.misses(), 0);
+  EXPECT_EQ(cached.size(), 0);
+  const int failed_calls = backend_calls.load();
+  EXPECT_GE(failed_calls, 1);
+  EXPECT_LE(failed_calls, kThreads);
+
+  // The failure was not memoized: the next call reaches the backend
+  // again, and its answer is cached.
+  failing.store(false);
+  ASSERT_TRUE(cached.Execute(q).ok());
+  EXPECT_EQ(backend_calls.load(), failed_calls + 1);
+  EXPECT_EQ(cached.misses(), 1);
+  EXPECT_EQ(cached.size(), 1);
+  ASSERT_TRUE(cached.Execute(q).ok());
+  EXPECT_EQ(backend_calls.load(), failed_calls + 1);
+  EXPECT_EQ(cached.hits(), 1);
+  EXPECT_EQ(cached.hits() + cached.misses() + cached.errors(),
+            kThreads + 2);
 }
 
-TEST(ConcurrentCachingDatabaseTest, SaveLoadInteropWithSerialCache) {
+TEST(CachingDatabaseConcurrencyTest, SaveLoadRoundTripsAcrossInstances) {
   const data::Table t = MakeTable();
   const std::vector<Query> queries = MakeQueries(t.schema(), 24);
 
-  // Populate the concurrent cache in parallel, save it.
+  // Populate a cache in parallel, save it.
   auto backend = MakeBackend(&t);
-  ConcurrentCachingDatabase cached(backend.get());
+  CachingDatabase cached(backend.get());
   runtime::ThreadPool pool(kThreads);
   runtime::ParallelFor(
       pool, 0, static_cast<int64_t>(queries.size()), [&](int64_t i) {
@@ -218,7 +202,8 @@ TEST(ConcurrentCachingDatabaseTest, SaveLoadInteropWithSerialCache) {
   std::stringstream saved;
   ASSERT_TRUE(cached.Save(saved).ok());
 
-  // A serial CachingDatabase loads it and replays without any backend.
+  // A fresh instance, used serially, loads it and replays without any
+  // backend.
   auto fresh_backend = MakeBackend(&t);
   CachingDatabase serial(fresh_backend.get());
   ASSERT_TRUE(serial.Load(saved).ok());
@@ -229,12 +214,12 @@ TEST(ConcurrentCachingDatabaseTest, SaveLoadInteropWithSerialCache) {
   EXPECT_EQ(serial.misses(), 0);
   EXPECT_EQ(fresh_backend->stats().queries_issued, 0);
 
-  // And the reverse direction: a serial save loads into the concurrent
-  // decorator.
+  // And the reverse direction: the serially used instance's save loads
+  // into a third one.
   std::stringstream serial_saved;
   ASSERT_TRUE(serial.Save(serial_saved).ok());
   auto another_backend = MakeBackend(&t);
-  ConcurrentCachingDatabase reloaded(another_backend.get());
+  CachingDatabase reloaded(another_backend.get());
   ASSERT_TRUE(reloaded.Load(serial_saved).ok());
   EXPECT_EQ(reloaded.size(), static_cast<int64_t>(queries.size()));
   for (const Query& q : queries) {
@@ -244,10 +229,10 @@ TEST(ConcurrentCachingDatabaseTest, SaveLoadInteropWithSerialCache) {
   EXPECT_EQ(another_backend->stats().queries_issued, 0);
 }
 
-TEST(ConcurrentCachingDatabaseTest, RejectsMalformedStreamAtomically) {
+TEST(CachingDatabaseConcurrencyTest, RejectsMalformedStreamAtomically) {
   const data::Table t = MakeTable(100);
   auto backend = MakeBackend(&t);
-  ConcurrentCachingDatabase cached(backend.get());
+  CachingDatabase cached(backend.get());
   std::stringstream bogus("not-a-cache 3\n");
   EXPECT_TRUE(cached.Load(bogus).IsIOError());
   EXPECT_EQ(cached.size(), 0);

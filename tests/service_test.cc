@@ -14,14 +14,14 @@
 #include "core/rq_db_sky.h"
 #include "core/sq_db_sky.h"
 #include "dataset/synthetic.h"
-#include "interface/concurrent_caching_database.h"
+#include "interface/caching_database.h"
 #include "interface/ranking.h"
 #include "interface/top_k_interface.h"
 #include "net/socket.h"
 #include "net/wire.h"
+#include "service/event_server.h"
 #include "service/fault_proxy.h"
 #include "service/remote_database.h"
-#include "service/server.h"
 
 namespace hdsky {
 namespace service {
@@ -64,6 +64,22 @@ std::unique_ptr<TopKInterface> MakeBackend(const data::Table* t,
       .value();
 }
 
+/// Server options for these tests: the shared cross-session cache is off,
+/// so every fresh query must reach the backend and a broken session
+/// replay shows up as a double execution instead of hiding behind a
+/// cache hit.
+EventDrivenServer::Options NoSharedCache() {
+  EventDrivenServer::Options o;
+  o.shared_cache = false;
+  return o;
+}
+
+std::unique_ptr<EventDrivenServer> StartServer(
+    interface::HiddenDatabase* backend,
+    const EventDrivenServer::Options& opts = NoSharedCache()) {
+  return std::move(EventDrivenServer::Start(backend, opts)).value();
+}
+
 /// Fast deterministic client options for tests.
 RemoteHiddenDatabase::Options FastClient(uint64_t session = 99) {
   RemoteHiddenDatabase::Options o;
@@ -90,8 +106,7 @@ void ExpectLoopbackEquivalence(data::InterfaceType iface_type,
   ASSERT_TRUE(local.ok()) << local.status().ToString();
 
   auto served_backend = MakeBackend(&t);
-  auto server =
-      std::move(DatabaseServer::Start(served_backend.get(), {})).value();
+  auto server = StartServer(served_backend.get());
   auto remote = std::move(RemoteHiddenDatabase::Connect(
                               "127.0.0.1", server->port(), FastClient()))
                     .value();
@@ -115,8 +130,9 @@ void ExpectLoopbackEquivalence(data::InterfaceType iface_type,
   EXPECT_EQ(remote->stats().retries, 0);
 
   server->Stop();
-  const DatabaseServer::Stats stats = server->stats();
+  const EventDrivenServer::Stats stats = server->stats();
   EXPECT_EQ(stats.queries_served, local->query_cost);
+  EXPECT_EQ(stats.backend_executions, local->query_cost);
   EXPECT_EQ(stats.queries_replayed, 0);
   EXPECT_EQ(stats.protocol_errors, 0);
 }
@@ -150,8 +166,7 @@ TEST(ServiceLoopbackTest, BackendBudgetSurfacesAsAnytimeResult) {
   EXPECT_FALSE(local->complete);
 
   auto served_backend = MakeBackend(&t, half);
-  auto server =
-      std::move(DatabaseServer::Start(served_backend.get(), {})).value();
+  auto server = StartServer(served_backend.get());
   auto remote = std::move(RemoteHiddenDatabase::Connect(
                               "127.0.0.1", server->port(), FastClient()))
                     .value();
@@ -165,10 +180,9 @@ TEST(ServiceLoopbackTest, BackendBudgetSurfacesAsAnytimeResult) {
 TEST(ServiceLoopbackTest, PerClientBudgetIsEnforcedAndReported) {
   const data::Table t = MakeTable(data::InterfaceType::kRQ);
   auto backend = MakeBackend(&t);
-  DatabaseServer::Options opts;
+  EventDrivenServer::Options opts = NoSharedCache();
   opts.per_client_query_budget = 3;
-  auto server =
-      std::move(DatabaseServer::Start(backend.get(), opts)).value();
+  auto server = StartServer(backend.get(), opts);
 
   auto remote = std::move(RemoteHiddenDatabase::Connect(
                               "127.0.0.1", server->port(), FastClient()))
@@ -203,10 +217,9 @@ TEST(ServiceLoopbackTest, PerClientBudgetIsEnforcedAndReported) {
 TEST(ServiceLoopbackTest, ConnectionLimitThrottlesExtraClients) {
   const data::Table t = MakeTable(data::InterfaceType::kRQ, 100);
   auto backend = MakeBackend(&t);
-  DatabaseServer::Options opts;
+  EventDrivenServer::Options opts = NoSharedCache();
   opts.max_connections = 1;
-  auto server =
-      std::move(DatabaseServer::Start(backend.get(), opts)).value();
+  auto server = StartServer(backend.get(), opts);
 
   auto first = std::move(RemoteHiddenDatabase::Connect(
                              "127.0.0.1", server->port(), FastClient(1)))
@@ -238,12 +251,11 @@ TEST(ServiceLoopbackTest, ConnectionLimitThrottlesExtraClients) {
 TEST(ServiceLoopbackTest, CacheStackShortCircuitsTheNetwork) {
   const data::Table t = MakeTable(data::InterfaceType::kRQ, 100);
   auto backend = MakeBackend(&t);
-  auto server =
-      std::move(DatabaseServer::Start(backend.get(), {})).value();
+  auto server = StartServer(backend.get());
   auto remote = std::move(RemoteHiddenDatabase::Connect(
                               "127.0.0.1", server->port(), FastClient()))
                     .value();
-  interface::ConcurrentCachingDatabase cached(remote.get());
+  interface::CachingDatabase cached(remote.get());
 
   Query q(t.schema().num_attributes());
   q.AddAtMost(0, 10);
@@ -264,8 +276,7 @@ TEST(ServiceLoopbackTest, CacheStackShortCircuitsTheNetwork) {
 TEST(ServiceLoopbackTest, ServerSurvivesGarbageAndKeepsServing) {
   const data::Table t = MakeTable(data::InterfaceType::kRQ, 100);
   auto backend = MakeBackend(&t);
-  auto server =
-      std::move(DatabaseServer::Start(backend.get(), {})).value();
+  auto server = StartServer(backend.get());
 
   {
     auto raw = net::Socket::Connect("127.0.0.1", server->port(), 2000);
@@ -291,7 +302,7 @@ struct FaultRunResult {
   core::DiscoveryResult discovery;
   RemoteHiddenDatabase::Stats client_stats;
   FaultInjectingProxy::Stats proxy_stats;
-  DatabaseServer::Stats server_stats;
+  EventDrivenServer::Stats server_stats;
   interface::AccessStats backend_stats;
 };
 
@@ -300,8 +311,7 @@ struct FaultRunResult {
 FaultRunResult RunRqThroughFaults(const FaultInjectingProxy::Policy& policy,
                                   const data::Table& t) {
   auto backend = MakeBackend(&t);
-  auto server =
-      std::move(DatabaseServer::Start(backend.get(), {})).value();
+  auto server = StartServer(backend.get());
   auto proxy = std::move(FaultInjectingProxy::Start(
                              "127.0.0.1", server->port(), policy))
                    .value();
@@ -350,6 +360,7 @@ TEST(FaultInjectionTest, SurvivesDropsAndTruncationsWithExactAccounting) {
             clean_backend->stats().queries_issued);
   EXPECT_EQ(run.discovery.query_cost, clean->query_cost);
   EXPECT_EQ(run.server_stats.queries_served, clean->query_cost);
+  EXPECT_EQ(run.server_stats.backend_executions, clean->query_cost);
 }
 
 TEST(FaultInjectionTest, AbsorbsSpuriousRateLimitsWithBackoff) {
@@ -388,8 +399,7 @@ TEST(FaultInjectionTest, TotalBlackoutFailsFastAndDescriptively) {
   // error — not hang, not crash.
   const data::Table t = MakeTable(data::InterfaceType::kRQ, 60);
   auto backend = MakeBackend(&t);
-  auto server =
-      std::move(DatabaseServer::Start(backend.get(), {})).value();
+  auto server = StartServer(backend.get());
   FaultInjectingProxy::Policy policy;
   policy.seed = 2;
   policy.drop_prob = 1.0;
@@ -408,8 +418,7 @@ TEST(FaultInjectionTest, PermanentRateLimitGivesUpDescriptively) {
   // bounced: retries must exhaust and report what happened.
   const data::Table t = MakeTable(data::InterfaceType::kRQ, 60);
   auto backend = MakeBackend(&t);
-  auto server =
-      std::move(DatabaseServer::Start(backend.get(), {})).value();
+  auto server = StartServer(backend.get());
   FaultInjectingProxy::Policy policy;
   policy.seed = 2;
   policy.rate_limit_prob = 1.0;

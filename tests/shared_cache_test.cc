@@ -1,7 +1,8 @@
-// Tests for the cross-session SharedQueryCache: single-flight ownership,
-// waiter resolution, error non-memoization, eviction bounds, and a
-// multi-threaded stampede (the TSan CI job's SharedCache stress).
+// Tests for SharedQueryCache: single-flight ownership, waiter
+// resolution, error non-memoization, load/save hooks, eviction bounds,
+// and a multi-threaded stampede (the TSan CI job's SharedCache stress).
 
+#include <algorithm>
 #include <atomic>
 #include <memory>
 #include <string>
@@ -10,14 +11,13 @@
 
 #include <gtest/gtest.h>
 
-#include "service/shared_cache.h"
+#include "interface/shared_cache.h"
 
 namespace hdsky {
-namespace service {
+namespace interface {
 namespace {
 
 using common::Status;
-using interface::QueryResult;
 
 std::shared_ptr<const QueryResult> MakeResult(int64_t id) {
   auto r = std::make_shared<QueryResult>();
@@ -106,6 +106,39 @@ TEST(SharedCacheTest, CompleteForUnknownKeyIsANoOp) {
   EXPECT_EQ(cache.size(), 0u);
 }
 
+TEST(SharedCacheTest, InsertReadyKeepsExistingEntriesAndSnapshotIsReady) {
+  SharedQueryCache cache;
+  std::shared_ptr<const QueryResult> out;
+  ASSERT_EQ(cache.StartLookup("ready", &out, nullptr),
+            SharedQueryCache::Lookup::kOwner);
+  cache.Complete("ready", Status::OK(), MakeResult(1));
+  ASSERT_EQ(cache.StartLookup("flying", &out, nullptr),
+            SharedQueryCache::Lookup::kOwner);
+
+  // Loaded entries fill only absent keys: a ready answer and an
+  // in-flight execution both stay as they are.
+  cache.InsertReady("ready", MakeResult(10));
+  cache.InsertReady("flying", MakeResult(20));
+  cache.InsertReady("loaded", MakeResult(30));
+  EXPECT_EQ(cache.size(), 2u);
+  ASSERT_EQ(cache.StartLookup("ready", &out, nullptr),
+            SharedQueryCache::Lookup::kHit);
+  EXPECT_EQ(out->ids[0], 1);
+  ASSERT_EQ(cache.StartLookup("loaded", &out, nullptr),
+            SharedQueryCache::Lookup::kHit);
+  EXPECT_EQ(out->ids[0], 30);
+  ASSERT_EQ(cache.StartLookup("flying", &out, nullptr),
+            SharedQueryCache::Lookup::kWait);
+
+  // The snapshot holds ready entries only; the flight is not an answer.
+  auto snapshot = cache.ReadySnapshot();
+  std::sort(snapshot.begin(), snapshot.end());
+  ASSERT_EQ(snapshot.size(), 2u);
+  EXPECT_EQ(snapshot[0].first, "loaded");
+  EXPECT_EQ(snapshot[1].first, "ready");
+  EXPECT_EQ(snapshot[1].second->ids[0], 1);
+}
+
 TEST(SharedCacheTest, EvictionKeepsReadyEntriesBounded) {
   SharedQueryCache::Options options;
   options.max_entries = 32;
@@ -139,7 +172,7 @@ TEST(SharedCacheTest, ConcurrentStampedePaysBackendOnce) {
       threads.emplace_back([&] {
         for (int i = 0; i < kKeys; ++i) {
           const std::string key = "key-" + std::to_string(i);
-          std::shared_ptr<const interface::QueryResult> out;
+          std::shared_ptr<const QueryResult> out;
           auto cb = [&resolved, i](const Status& s, const auto& r) {
             ASSERT_TRUE(s.ok());
             ASSERT_NE(r, nullptr);
@@ -171,5 +204,5 @@ TEST(SharedCacheTest, ConcurrentStampedePaysBackendOnce) {
 }
 
 }  // namespace
-}  // namespace service
+}  // namespace interface
 }  // namespace hdsky
