@@ -88,6 +88,11 @@ Result<std::string> ReadFileToString(const std::string& path) {
   return out;
 }
 
+Status MakeDir(const std::string& dir) {
+  if (::mkdir(dir.c_str(), 0755) == 0 || errno == EEXIST) return Status::OK();
+  return Errno("mkdir", dir);
+}
+
 Status SyncDir(const std::string& dir) {
   const int fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY);
   if (fd < 0) return Errno("open dir", dir);

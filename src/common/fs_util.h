@@ -27,6 +27,9 @@ namespace common {
 /// orphaned "<path>.tmp.<pid>" that RemoveStaleTempFiles cleans up).
 Status AtomicWriteFile(const std::string& path, const std::string& contents);
 
+/// Creates directory `dir` (mode 0755); an existing one is fine.
+Status MakeDir(const std::string& dir);
+
 /// Reads a whole file into a string. NotFound when it does not exist.
 Result<std::string> ReadFileToString(const std::string& path);
 

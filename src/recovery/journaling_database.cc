@@ -1,10 +1,8 @@
 #include "recovery/journaling_database.h"
 
 #include <algorithm>
-#include <cerrno>
 #include <cstring>
 
-#include <sys/stat.h>
 #include <unistd.h>
 
 #include "common/fs_util.h"
@@ -15,17 +13,6 @@ namespace recovery {
 
 using common::Result;
 using common::Status;
-
-namespace {
-
-Status MkDir(const std::string& dir) {
-  if (::mkdir(dir.c_str(), 0755) != 0 && errno != EEXIST) {
-    return Status::IOError("mkdir " + dir + ": " + std::strerror(errno));
-  }
-  return Status::OK();
-}
-
-}  // namespace
 
 Result<std::unique_ptr<JournalingDatabase>> JournalingDatabase::Open(
     interface::HiddenDatabase* backend, const std::string& dir,
@@ -39,7 +26,7 @@ Result<std::unique_ptr<JournalingDatabase>> JournalingDatabase::Open(
 JournalingDatabase::~JournalingDatabase() = default;
 
 Status JournalingDatabase::OpenImpl() {
-  HDSKY_RETURN_IF_ERROR(MkDir(dir_));
+  HDSKY_RETURN_IF_ERROR(common::MakeDir(dir_));
   common::RemoveStaleTempFiles(dir_);
   const int width = backend_->schema().num_attributes();
   const JournalWriter::Options wopts{options_.sync_every};

@@ -457,6 +457,13 @@ void EventDrivenServer::HandleQuery(Conn* conn, uint64_t seq,
         reply_type = session->reply_type;
         reply = session->reply_payload;
         have_reply = true;
+      } else if (seq != 0 && seq == session->running_seq) {
+        // A retry of the query still executing (its first connection may
+        // be gone): wait for that execution's reply instead of running
+        // the backend again.
+        session->waiters.emplace_back(conn->loop_index, conn->id);
+        conn->in_flight = true;
+        return;
       } else {
         const uint64_t expected =
             session->has_reply ? session->last_seq + 1 : seq;
@@ -480,6 +487,7 @@ void EventDrivenServer::HandleQuery(Conn* conn, uint64_t seq,
           have_reply = true;
         }
       }
+      if (!have_reply) session->running_seq = seq;
     }
     if (have_reply) {
       EnqueueFrame(conn, reply_type, reply);
@@ -487,7 +495,7 @@ void EventDrivenServer::HandleQuery(Conn* conn, uint64_t seq,
     }
   }
 
-  // Fresh query. All async completions funnel through FinalizeAsync on
+  // Fresh query. All async completions funnel through Finish on
   // this connection's loop.
   conn->in_flight = true;
   if (cache_ == nullptr) {
@@ -503,10 +511,7 @@ void EventDrivenServer::HandleQuery(Conn* conn, uint64_t seq,
             cb(s, nullptr);
           }
         });
-    if (!admitted) {
-      conn->in_flight = false;
-      DeliverBusy(conn, seq);
-    }
+    if (!admitted) Finish(session, seq, BusyStatus(), nullptr, conn);
     return;
   }
 
@@ -514,9 +519,8 @@ void EventDrivenServer::HandleQuery(Conn* conn, uint64_t seq,
   std::shared_ptr<const interface::QueryResult> ready;
   switch (cache_->StartLookup(key, &ready, MakeCompletion(conn, seq))) {
     case SharedQueryCache::Lookup::kHit:
-      conn->in_flight = false;
       cache_hits_.fetch_add(1);
-      Deliver(conn, seq, Status::OK(), ready);
+      Finish(session, seq, Status::OK(), ready, conn);
       return;
     case SharedQueryCache::Lookup::kWait:
       singleflight_joins_.fetch_add(1);
@@ -559,34 +563,17 @@ SharedQueryCache::Callback EventDrivenServer::MakeCompletion(Conn* conn,
                                                              uint64_t seq) {
   const size_t li = conn->loop_index;
   const uint64_t id = conn->id;
-  return [this, li, id, seq](
+  Session* session = conn->session;
+  return [this, li, id, session, seq](
              const Status& status,
              const std::shared_ptr<const interface::QueryResult>& result) {
-    loops_[li]->Post([this, li, id, seq, status, result] {
-      FinalizeAsync(li, id, seq, status, result);
+    loops_[li]->Post([this, li, id, session, seq, status, result] {
+      Conn* conn = FindConn(li, id);
+      if (conn != nullptr && conn->dead) conn = nullptr;
+      Finish(session, seq, status, result, conn);
+      if (conn != nullptr && !conn->dead) ProcessPending(conn);
     });
   };
-}
-
-void EventDrivenServer::FinalizeAsync(
-    size_t loop_index, uint64_t conn_id, uint64_t seq, const Status& status,
-    std::shared_ptr<const interface::QueryResult> result) {
-  Conn* conn = FindConn(loop_index, conn_id);
-  if (conn == nullptr || conn->dead) {
-    // The client is gone: nothing is delivered, the session is not
-    // charged, and nothing enters the replay cache. A reconnecting
-    // session retries the same sequence and (with the shared cache) hits
-    // the now-ready entry, so the backend is still charged exactly once.
-    return;
-  }
-  conn->in_flight = false;
-  conn->last_activity = std::chrono::steady_clock::now();
-  if (IsBusy(status)) {
-    DeliverBusy(conn, seq);
-  } else {
-    Deliver(conn, seq, status, result);
-  }
-  if (!conn->dead) ProcessPending(conn);
 }
 
 void EventDrivenServer::ProcessPending(Conn* conn) {
@@ -597,29 +584,56 @@ void EventDrivenServer::ProcessPending(Conn* conn) {
   }
 }
 
-void EventDrivenServer::Deliver(
-    Conn* conn, uint64_t seq, const Status& status,
-    const std::shared_ptr<const interface::QueryResult>& result) {
+void EventDrivenServer::Finish(
+    Session* session, uint64_t seq, const Status& status,
+    const std::shared_ptr<const interface::QueryResult>& result, Conn* conn) {
+  const bool busy = IsBusy(status);
   std::string payload;
-  FrameType type;
+  FrameType type = FrameType::kStatus;
   if (status.ok()) {
     type = FrameType::kResult;
     net::EncodeResult(seq, *result, &payload);
-  } else {
-    type = FrameType::kStatus;
+  } else if (!busy) {
     net::EncodeStatus(seq, net::WireStatusFromStatus(status),
                       status.message(), &payload);
   }
+  std::vector<std::pair<size_t, uint64_t>> waiters;
   {
-    std::lock_guard<std::mutex> lock(conn->session->mu);
-    if (status.ok()) conn->session->queries_used += 1;
-    conn->session->last_seq = seq;
-    conn->session->has_reply = true;
-    conn->session->reply_type = type;
-    conn->session->reply_payload = payload;
+    std::lock_guard<std::mutex> lock(session->mu);
+    session->running_seq = 0;
+    waiters.swap(session->waiters);
+    if (!busy) {
+      // Recorded and charged even when no connection is left to take the
+      // reply: the client's retry replays it.
+      if (status.ok()) session->queries_used += 1;
+      session->last_seq = seq;
+      session->has_reply = true;
+      session->reply_type = type;
+      session->reply_payload = payload;
+    }
   }
   if (status.ok()) queries_served_.fetch_add(1);
-  EnqueueFrame(conn, type, payload);
+  if (conn != nullptr) Answer(conn, seq, busy, type, payload);
+  for (const auto& [li, id] : waiters) {
+    loops_[li]->Post([this, li = li, id = id, seq, busy, type, payload] {
+      Conn* waiter = FindConn(li, id);
+      if (waiter == nullptr || waiter->dead) return;
+      if (!busy) queries_replayed_.fetch_add(1);
+      Answer(waiter, seq, busy, type, payload);
+      if (!waiter->dead) ProcessPending(waiter);
+    });
+  }
+}
+
+void EventDrivenServer::Answer(Conn* conn, uint64_t seq, bool busy,
+                               FrameType type, const std::string& payload) {
+  conn->in_flight = false;
+  conn->last_activity = std::chrono::steady_clock::now();
+  if (busy) {
+    DeliverBusy(conn, seq);
+  } else {
+    EnqueueFrame(conn, type, payload);
+  }
 }
 
 void EventDrivenServer::DeliverBusy(Conn* conn, uint64_t seq) {

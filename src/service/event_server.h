@@ -169,6 +169,10 @@ class EventDrivenServer {
     net::FrameType reply_type = net::FrameType::kStatus;
     std::string reply_payload;
     int64_t queries_used = 0;
+    /// The seq whose backend execution is running (0 = none), and the
+    /// connections (loop, conn id) whose retry of it waits for its reply.
+    uint64_t running_seq = 0;
+    std::vector<std::pair<size_t, uint64_t>> waiters;
   };
 
   /// One live connection; owned and touched by exactly one loop thread.
@@ -210,14 +214,16 @@ class EventDrivenServer {
                    std::string_view payload);
   void HandleQuery(Conn* conn, uint64_t seq, const interface::Query& query);
   void ProcessPending(Conn* conn);
-  /// Runs on the owning loop thread when a backend/cache flight resolves.
-  void FinalizeAsync(size_t loop_index, uint64_t conn_id, uint64_t seq,
-                     const common::Status& status,
-                     std::shared_ptr<const interface::QueryResult> result);
-  /// Encodes and enqueues the reply, charges the session budget on
-  /// success, and records the reply in the session replay cache.
-  void Deliver(Conn* conn, uint64_t seq, const common::Status& status,
-               const std::shared_ptr<const interface::QueryResult>& result);
+  /// Resolves the session's running query: records the reply for replay
+  /// and charges the budget on success (BUSY does neither), then answers
+  /// `conn` (nullptr: gone) and every retry parked on the query.
+  void Finish(Session* session, uint64_t seq, const common::Status& status,
+              const std::shared_ptr<const interface::QueryResult>& result,
+              Conn* conn);
+  /// Sends one resolved reply on a live connection (BUSY for a bounced
+  /// query) and marks it free for its next query.
+  void Answer(Conn* conn, uint64_t seq, bool busy, net::FrameType type,
+              const std::string& payload);
   /// Transient BUSY: kRateLimited, never recorded for replay.
   void DeliverBusy(Conn* conn, uint64_t seq);
   void EnqueueFrame(Conn* conn, net::FrameType type,

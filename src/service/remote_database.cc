@@ -13,8 +13,6 @@ using net::Frame;
 using net::FrameType;
 using net::WireStatus;
 
-namespace {
-
 uint64_t RandomSessionId() {
   // Session ids only need uniqueness, not reproducibility: two clients
   // sharing an id would share budget and replay state.
@@ -23,8 +21,6 @@ uint64_t RandomSessionId() {
   if (id == 0) id = 1;
   return id;
 }
-
-}  // namespace
 
 Result<std::unique_ptr<RemoteHiddenDatabase>> RemoteHiddenDatabase::Connect(
     const std::string& host, uint16_t port, const Options& options) {

@@ -49,6 +49,9 @@
 namespace hdsky {
 namespace service {
 
+/// A fresh nonzero session id (Options::session_id 0 draws one).
+uint64_t RandomSessionId();
+
 class RemoteHiddenDatabase : public interface::HiddenDatabase {
  public:
   struct Options {

@@ -190,6 +190,10 @@ expect_usage "serve-pool-bytes-garbage" \
 expect_usage "serve-pool-bytes-zero" \
   "$SERVE" --dataset-file /tmp/x.hdb --buffer-pool-bytes 0
 expect_usage "serve-dataset-file-dangling" "$SERVE" --dataset-file
+expect_usage "serve-n-with-dataset-file" \
+  "$SERVE" --dataset-file /tmp/x.hdb --n 5
+expect_usage "serve-seed-with-dataset-file" \
+  "$SERVE" --dataset-file /tmp/x.hdb --seed 3
 expect_usage "discover-dataset-file-plus-demo" \
   "$DISCOVER" --demo route --dataset-file /tmp/x.hdb
 expect_usage "discover-dataset-file-plus-connect" \

@@ -151,6 +151,40 @@ TEST(WorkloadTest, RespectsEveryInterfaceTaxonomy) {
   }
 }
 
+TEST(EventServerTest, OutOfOrderSequencesAreRejectedNotRun) {
+  const data::Table t = MakeTable(data::InterfaceType::kRQ);
+  auto backend = MakeBackend(&t);
+  auto server =
+      std::move(EventDrivenServer::Start(backend.get(), {})).value();
+
+  // Sequence 0 is never valid, and the first query fixes the next one:
+  // both violations get an InvalidArgument status, never an execution.
+  auto sock = ConnectAndHello(server->port(), 1);
+  const auto queries = GenerateWorkload(t.schema(), 2, 42);
+  for (const uint64_t seq : {uint64_t{0}, uint64_t{5}, uint64_t{7}}) {
+    SendQuery(sock, seq, queries[0]);
+    net::Frame frame;
+    ASSERT_TRUE(net::ReadFrame(sock, &frame).ok()) << seq;
+    if (seq == 5) {
+      EXPECT_EQ(frame.type, net::FrameType::kResult);
+      continue;
+    }
+    ASSERT_EQ(frame.type, net::FrameType::kStatus) << seq;
+    uint64_t reply_seq = 0;
+    uint16_t code = 0;
+    std::string message;
+    ASSERT_TRUE(
+        net::DecodeStatusFrame(frame.payload, &reply_seq, &code, &message)
+            .ok());
+    EXPECT_EQ(code, static_cast<uint16_t>(net::WireStatus::kInvalidArgument))
+        << seq << ": " << message;
+  }
+  server->Stop();
+  EXPECT_EQ(server->stats().queries_served, 1);
+  EXPECT_EQ(server->stats().backend_executions, 1);
+  EXPECT_EQ(server->stats().protocol_errors, 2);
+}
+
 // --- pipelining ----------------------------------------------------------
 
 TEST(EventServerTest, AnswersPipelinedQueriesInOrder) {

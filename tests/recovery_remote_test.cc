@@ -1,7 +1,9 @@
 // Durable remote sessions under a hostile network: a journaled discovery
 // run against a remote server is interrupted mid-flight (with the fault
 // proxy dropping and truncating frames the whole time), then resumed with
-// the same journal directory and session id. The resumed run must finish
+// the same journal directory and session id. Both runs build their
+// Remote + Journal stack with the session builder, exactly as
+// hdsky_discover --connect --journal does. The resumed run must finish
 // with the clean in-process skyline, and the server's accounting must
 // agree with the client's journal exactly: every distinct query charged
 // once, however many crashes, retries, and replays it took.
@@ -16,10 +18,10 @@
 #include "dataset/synthetic.h"
 #include "interface/ranking.h"
 #include "interface/top_k_interface.h"
-#include "recovery/journaling_database.h"
 #include "service/event_server.h"
 #include "service/fault_proxy.h"
 #include "service/remote_database.h"
+#include "session/stack.h"
 
 namespace hdsky {
 namespace recovery {
@@ -52,16 +54,15 @@ std::unique_ptr<TopKInterface> MakeBackend(const data::Table* t) {
       .value();
 }
 
-/// Fast deterministic client options; the fixed session id is what a
-/// durable session persists in <journal>/SESSION.
-RemoteHiddenDatabase::Options FastClient(uint64_t session) {
+/// Fast deterministic client options. The session id is the builder's:
+/// minted into <journal>/SESSION on the first run, reused on the next.
+RemoteHiddenDatabase::Options FastClient() {
   RemoteHiddenDatabase::Options o;
   o.connect_timeout_ms = 2000;
   o.io_timeout_ms = 2000;
   o.max_attempts = 8;
   o.initial_backoff_ms = 1;
   o.max_backoff_ms = 8;
-  o.session_id = session;
   o.jitter_seed = 7;
   return o;
 }
@@ -81,7 +82,6 @@ struct ScopedDir {
 
 TEST(RecoveryRemoteTest, InterruptedSessionResumesWithoutDoubleCharging) {
   const data::Table t = MakeBusyTable();
-  constexpr uint64_t kSession = 4242;
   constexpr int64_t kBudget = 1000;
 
   // Clean in-process reference.
@@ -112,24 +112,31 @@ TEST(RecoveryRemoteTest, InterruptedSessionResumesWithoutDoubleCharging) {
   // Phase A: journaled run, interrupted after 40 paid queries. The
   // journal is abandoned without a final checkpoint — the moral
   // equivalent of the process dying.
+  const std::string endpoint = "127.0.0.1:" + std::to_string(proxy->port());
+  auto open_stack = [&] {
+    session::StackConfig config;
+    config.endpoint = endpoint;
+    config.journal = dir.path;
+    config.algorithm = "rq";
+    auto stack = std::make_unique<session::Stack>(config);
+    auto failed = stack->Connect(FastClient(), nullptr);
+    if (!failed) failed = stack->OpenJournal(true, nullptr);
+    EXPECT_FALSE(failed.has_value()) << failed->text;
+    return stack;
+  };
   int64_t phase_a_paid = 0;
+  uint64_t session_id = 0;
   {
-    auto remote = std::move(RemoteHiddenDatabase::Connect(
-                                "127.0.0.1", proxy->port(),
-                                FastClient(kSession)))
-                      .value();
-    JournalingDatabase::Options jopts;
-    RemoteHiddenDatabase* r = remote.get();
-    jopts.seq_provider = [r] { return r->next_seq(); };
-    auto journal =
-        std::move(JournalingDatabase::Open(remote.get(), dir.path, jopts))
-            .value();
-    remote->set_next_seq(journal->next_wire_seq());
+    auto stack = open_stack();
+    ASSERT_NE(stack->journal, nullptr);
+    JournalingDatabase* journal = stack->journal.get();
+    session_id = stack->remote->session_id();
 
     core::RqDbSkyOptions opts;
-    JournalingDatabase* j = journal.get();
-    opts.common.interrupt = [j] { return j->stats().paid >= 40; };
-    auto partial = core::RqDbSky(journal.get(), opts);
+    opts.common.interrupt = [journal] {
+      return journal->stats().paid >= 40;
+    };
+    auto partial = core::RqDbSky(journal, opts);
     ASSERT_TRUE(partial.ok()) << partial.status();
     EXPECT_FALSE(partial->complete);
     phase_a_paid = journal->stats().paid;
@@ -141,21 +148,14 @@ TEST(RecoveryRemoteTest, InterruptedSessionResumesWithoutDoubleCharging) {
   // new queries reach the server.
   int64_t journaled_entries = 0;
   {
-    auto remote = std::move(RemoteHiddenDatabase::Connect(
-                                "127.0.0.1", proxy->port(),
-                                FastClient(kSession)))
-                      .value();
-    JournalingDatabase::Options jopts;
-    RemoteHiddenDatabase* r = remote.get();
-    jopts.seq_provider = [r] { return r->next_seq(); };
-    auto journal =
-        std::move(JournalingDatabase::Open(remote.get(), dir.path, jopts))
-            .value();
-    remote->set_next_seq(journal->next_wire_seq());
+    auto stack = open_stack();
+    ASSERT_NE(stack->journal, nullptr);
+    JournalingDatabase* journal = stack->journal.get();
+    EXPECT_EQ(stack->remote->session_id(), session_id);
     EXPECT_TRUE(journal->resumed());
     EXPECT_GE(journal->entries(), phase_a_paid);
 
-    auto resumed = core::RqDbSky(journal.get());
+    auto resumed = core::RqDbSky(journal);
     ASSERT_TRUE(resumed.ok()) << resumed.status();
     EXPECT_TRUE(resumed->complete);
     EXPECT_EQ(resumed->skyline_ids, clean->skyline_ids);
@@ -169,8 +169,10 @@ TEST(RecoveryRemoteTest, InterruptedSessionResumesWithoutDoubleCharging) {
   // fresh handshake under the same session id reports the budget minus
   // exactly one charge per journaled answer.
   {
+    RemoteHiddenDatabase::Options same_session = FastClient();
+    same_session.session_id = session_id;
     auto probe = RemoteHiddenDatabase::Connect("127.0.0.1", server->port(),
-                                               FastClient(kSession));
+                                               same_session);
     ASSERT_TRUE(probe.ok()) << probe.status();
     EXPECT_EQ((*probe)->server_remaining_budget(),
               kBudget - journaled_entries);

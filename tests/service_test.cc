@@ -5,8 +5,10 @@
 // under the deterministic fault-injection proxy — the "never hangs,
 // never crashes, never double-counts" contract.
 
+#include <chrono>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -440,6 +442,40 @@ TEST(FaultInjectionTest, PermanentRateLimitGivesUpDescriptively) {
       << result.status().ToString();
   EXPECT_EQ(remote->stats().rate_limited, 3);
   EXPECT_EQ(backend->stats().queries_issued, 0);
+}
+
+TEST(FaultInjectionTest, RetryOfARunningQueryWaitsForItsExecution) {
+  // The backend takes 300 ms; the client gives up on each attempt after
+  // 100 ms and retries on a fresh connection. Early retries arrive while
+  // the first execution is still running, later ones after its
+  // connection has died. Both must wait for (or replay) that execution's
+  // reply — the backend runs once, and the answer is the real one.
+  const data::Table t = MakeTable(data::InterfaceType::kRQ);
+  auto real = MakeBackend(&t);
+  interface::CallbackDatabase slow(
+      t.schema(), real->k(), [&real](const Query& q) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(300));
+        return real->Execute(q);
+      });
+  auto server = StartServer(&slow);
+  RemoteHiddenDatabase::Options opts = FastClient();
+  opts.io_timeout_ms = 100;
+  opts.max_attempts = 10;
+  auto remote = std::move(RemoteHiddenDatabase::Connect(
+                              "127.0.0.1", server->port(), opts))
+                    .value();
+  Query q(t.schema().num_attributes());
+  q.AddAtMost(0, 10);
+  auto answer = remote->Execute(q);
+  EXPECT_GT(remote->stats().retries, 0);
+  server->Stop();
+  EXPECT_EQ(server->stats().backend_executions, 1);
+  EXPECT_EQ(server->stats().queries_served, 1);
+  ASSERT_TRUE(answer.ok()) << answer.status().ToString();
+  auto expected = real->Execute(q);
+  ASSERT_TRUE(expected.ok());
+  EXPECT_EQ(answer->ids, expected->ids);
+  EXPECT_EQ(answer->overflow, expected->overflow);
 }
 
 TEST(FaultInjectionTest, RejectsInvalidProbabilities) {

@@ -11,25 +11,9 @@
 //   hdsky_loadgen --sessions 1000 --queries 32 --json BENCH_service.json
 //   hdsky_loadgen --connect 127.0.0.1:7447 --sessions 200
 //
-// Flags:
-//   --sessions N        concurrent sessions (default 1000)
-//   --queries Q         queries per session (default 32)
-//   --pipeline D        pipelined queries per connection (default 8)
-//   --loops L           client event loops (0 = auto)
-//   --server-loops L    in-process server event loops (0 = auto)
-//   --workers W         in-process server backend workers (0 = auto)
-//   --n N               synthetic dataset size (default 20000)
-//   --m M               synthetic attributes (default 3)
-//   --k K               interface page size (default 10)
-//   --no-shared-cache   disable the cross-session cache (dedup -> 0)
-//   --max-pending P     server admission limit (default 1024)
-//   --timeout-ms T      whole-run deadline (default 120000)
-//   --seed S            workload seed (default 42)
-//   --connect HOST:PORT external server instead of in-process
-//   --probe             pre-flight a single RemoteHiddenDatabase client
-//                       before the load and report its wire counters
-//                       (handshake bytes, retries, backoff) to stderr
-//   --json PATH         write a google-benchmark-shaped JSON report
+// Flags are listed by Usage() below. --probe pre-flights a single
+// RemoteHiddenDatabase client before the load and reports its wire
+// counters (handshake bytes, retries, backoff) to stderr.
 //
 // $HDSKY_SCALE (a float, default 1) multiplies --sessions and --queries,
 // the same knob the bench suite uses, so CI can run a reduced-scale
@@ -46,13 +30,11 @@
 #include <memory>
 #include <string>
 
-#include "dataset/synthetic.h"
-#include "interface/ranking.h"
-#include "interface/top_k_interface.h"
 #include "net/socket.h"
 #include "service/event_server.h"
 #include "service/load_driver.h"
-#include "service/remote_database.h"
+#include "session/stack.h"
+#include "tools/cli.h"
 
 namespace {
 
@@ -99,70 +81,43 @@ void Usage() {
       "  --json PATH         write a google-benchmark-shaped JSON report\n");
 }
 
-bool ParseInt(const std::string& s, int64_t min, int64_t max, int64_t* out) {
-  if (s.empty()) return false;
-  char* end = nullptr;
-  errno = 0;
-  const long long v = std::strtoll(s.c_str(), &end, 10);
-  if (errno != 0 || end == s.c_str() || *end != '\0') return false;
-  if (v < min || v > max) return false;
-  *out = v;
-  return true;
-}
-
 bool ParseArgs(int argc, char** argv, Args* args) {
-  for (int i = 1; i < argc; ++i) {
-    const std::string flag = argv[i];
-    auto need_value = [&](std::string* dst) {
-      if (i + 1 >= argc) return false;
-      *dst = argv[++i];
-      return true;
-    };
-    auto int_flag = [&](int64_t min, int64_t max, int64_t* dst) {
-      std::string value;
-      if (!need_value(&value) || !ParseInt(value, min, max, dst)) {
-        std::fprintf(stderr, "invalid value for %s\n", flag.c_str());
-        return false;
-      }
-      return true;
-    };
-    std::string value;
+  tools::FlagReader r(argc, argv);
+  while (r.Next()) {
+    const std::string& flag = r.flag();
+    if (r.Is("--connect", &args->connect) || r.Is("--json", &args->json)) {
+      continue;
+    }
     if (flag == "--sessions") {
-      if (!int_flag(1, 1000000, &args->sessions)) return false;
+      if (!r.Int(1, 1000000, &args->sessions)) return false;
     } else if (flag == "--queries") {
-      if (!int_flag(1, 1000000, &args->queries)) return false;
+      if (!r.Int(1, 1000000, &args->queries)) return false;
     } else if (flag == "--pipeline") {
-      if (!int_flag(1, 4096, &args->pipeline)) return false;
+      if (!r.Int(1, 4096, &args->pipeline)) return false;
     } else if (flag == "--loops") {
-      if (!int_flag(0, 256, &args->loops)) return false;
+      if (!r.Int(0, 256, &args->loops)) return false;
     } else if (flag == "--server-loops") {
-      if (!int_flag(0, 256, &args->server_loops)) return false;
+      if (!r.Int(0, 256, &args->server_loops)) return false;
     } else if (flag == "--workers") {
-      if (!int_flag(0, 256, &args->workers)) return false;
+      if (!r.Int(0, 256, &args->workers)) return false;
     } else if (flag == "--n") {
-      if (!int_flag(1, INT64_MAX, &args->n)) return false;
+      if (!r.Int(1, INT64_MAX, &args->n)) return false;
     } else if (flag == "--m") {
-      if (!int_flag(2, 64, &args->m)) return false;
+      if (!r.Int(2, 64, &args->m)) return false;
     } else if (flag == "--k") {
-      if (!int_flag(1, 1000000, &args->k)) return false;
+      if (!r.Int(1, 1000000, &args->k)) return false;
     } else if (flag == "--no-shared-cache") {
       args->shared_cache = false;
     } else if (flag == "--max-pending") {
-      if (!int_flag(0, 1000000, &args->max_pending)) return false;
+      if (!r.Int(0, 1000000, &args->max_pending)) return false;
     } else if (flag == "--timeout-ms") {
-      if (!int_flag(1, INT64_MAX, &args->timeout_ms)) return false;
+      if (!r.Int(1, INT64_MAX, &args->timeout_ms)) return false;
     } else if (flag == "--seed") {
-      if (!int_flag(0, INT64_MAX, &args->seed)) return false;
-    } else if (flag == "--connect" && need_value(&value)) {
-      args->connect = value;
+      if (!r.Int(0, INT64_MAX, &args->seed)) return false;
     } else if (flag == "--probe") {
       args->probe = true;
-    } else if (flag == "--json" && need_value(&value)) {
-      args->json = value;
     } else {
-      std::fprintf(stderr, "unknown or incomplete flag: %s\n",
-                   flag.c_str());
-      return false;
+      return r.Unknown();
     }
   }
   return true;
@@ -252,9 +207,8 @@ int main(int argc, char** argv) {
   args.queries = Scaled(args.queries, scale);
 
   // In-process server unless --connect points elsewhere.
-  std::unique_ptr<interface::TopKInterface> iface;
+  session::Engine engine;
   std::unique_ptr<service::EventDrivenServer> server;
-  data::Table table;
   std::string host = "127.0.0.1";
   uint16_t port = 0;
   if (args.connect.empty()) {
@@ -262,23 +216,14 @@ int main(int argc, char** argv) {
     synth.num_tuples = args.n;
     synth.num_attributes = static_cast<int>(args.m);
     synth.seed = static_cast<uint64_t>(args.seed);
-    auto table_result = dataset::GenerateSynthetic(synth);
-    if (!table_result.ok()) {
+    if (auto failed = engine.OpenSynthetic(synth)) {
       std::fprintf(stderr, "dataset: %s\n",
-                   table_result.status().ToString().c_str());
+                   failed->status.ToString().c_str());
       return 1;
     }
-    table = std::move(table_result).value();
-    interface::TopKOptions topk;
-    topk.k = static_cast<int>(args.k);
-    auto iface_result = interface::TopKInterface::Create(
-        &table, interface::MakeSumRanking(), topk);
-    if (!iface_result.ok()) {
-      std::fprintf(stderr, "interface: %s\n",
-                   iface_result.status().ToString().c_str());
-      return 1;
-    }
-    iface = std::move(iface_result).value();
+    session::SourceConfig topk;
+    topk.k = args.k;
+    if (auto failed = engine.Build(topk)) return tools::Exit(*failed);
 
     service::EventDrivenServer::Options opts;
     opts.num_loops = static_cast<int>(args.server_loops);
@@ -287,7 +232,7 @@ int main(int argc, char** argv) {
     opts.shared_cache = args.shared_cache;
     opts.max_pending_queries = static_cast<int>(args.max_pending);
     auto server_result =
-        service::EventDrivenServer::Start(iface.get(), opts);
+        service::EventDrivenServer::Start(engine.iface.get(), opts);
     if (!server_result.ok()) {
       std::fprintf(stderr, "serve: %s\n",
                    server_result.status().ToString().c_str());
@@ -307,23 +252,25 @@ int main(int argc, char** argv) {
     // A single real client ahead of the storm: proves the server answers
     // the full handshake and surfaces the wire cost of connecting (the
     // per-connection counters every RemoteHiddenDatabase now keeps).
-    auto probe = service::RemoteHiddenDatabase::Connect(host, port);
-    if (!probe.ok()) {
+    session::StackConfig config;
+    config.endpoint = host + ":" + std::to_string(port);
+    session::Stack probe(config);
+    if (auto failed = probe.Connect({}, nullptr)) {
       std::fprintf(stderr, "probe    : %s%s\n",
-                   probe.status().ToString().c_str(),
-                   probe.status().IsUnavailable()
+                   failed->status.ToString().c_str(),
+                   failed->status.IsUnavailable()
                        ? " (server shedding load)"
                        : "");
       return 1;
     }
-    const service::RemoteHiddenDatabase::Stats& ps = (*probe)->stats();
+    const service::RemoteHiddenDatabase::Stats& ps = probe.remote->stats();
     std::fprintf(stderr,
                  "probe    : %s k=%d, handshake %" PRId64 " B out / %"
                  PRId64 " B in, %" PRId64 " retries, %" PRId64
                  " ms backoff\n",
-                 (*probe)->schema().ToString().c_str(), (*probe)->k(),
-                 ps.bytes_sent, ps.bytes_received, ps.retries,
-                 ps.backoff_ms);
+                 probe.remote->schema().ToString().c_str(),
+                 probe.remote->k(), ps.bytes_sent, ps.bytes_received,
+                 ps.retries, ps.backoff_ms);
   }
 
   service::LoadOptions load;

@@ -9,49 +9,29 @@
 //
 //   hdsky_proxy --upstream 127.0.0.1:7447 --drop 0.05 --rate-limit 0.1
 //
-// Flags:
-//   --upstream HOST:PORT  the real server to forward to (required)
-//   --port P              TCP port; 0 picks an ephemeral one (default 0)
-//   --bind ADDR           IPv4 bind address (default 127.0.0.1)
-//   --seed S              fault-decision seed (default 1; deterministic)
-//   --drop P              probability a frame is dropped        [0,1]
-//   --truncate P          probability a frame is truncated      [0,1]
-//   --rate-limit P        probability a Query is bounced BUSY   [0,1]
-//   --delay P             probability a frame is delayed        [0,1]
-//   --delay-ms MS         delay length for --delay (default 20)
-//   --blackout-after N    deterministic kill/revive schedule: client
-//                         queries with arrival index [N, N+M) (counted
-//                         across connections, retries included) kill the
-//                         connection as if the backend died; the proxy
-//                         recovers afterwards. -1 disables (default)
-//   --blackout-queries M  blackout window length for --blackout-after
-//   --io-timeout-ms MS    per-connection I/O backstop (default 30000)
+// Flags are listed by Usage() below. --blackout-after N with
+// --blackout-queries M is a deterministic kill/revive schedule: client
+// queries with arrival index [N, N+M) (counted across connections,
+// retries included) kill the connection as if the backend died, and the
+// proxy recovers afterwards.
 //
 // Prints exactly one "listening on ADDR:PORT" line to stdout once ready
 // (the same contract as hdsky_serve, so scripts parse both the same
 // way), then proxies until SIGINT/SIGTERM, finally printing fault
 // statistics to stderr.
 
-#include <atomic>
 #include <cerrno>
-#include <chrono>
-#include <csignal>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
-#include <thread>
 
 #include "net/socket.h"
 #include "service/fault_proxy.h"
+#include "tools/cli.h"
 
 namespace {
 
 using namespace hdsky;
-
-std::atomic<bool> g_shutdown{false};
-
-void HandleSignal(int) { g_shutdown.store(true); }
 
 struct Args {
   std::string upstream;
@@ -88,18 +68,6 @@ void Usage() {
       "30000)\n");
 }
 
-/// Strict integer parse: the whole token must be a number in [min, max].
-bool ParseInt(const std::string& s, int64_t min, int64_t max, int64_t* out) {
-  if (s.empty()) return false;
-  char* end = nullptr;
-  errno = 0;
-  const long long v = std::strtoll(s.c_str(), &end, 10);
-  if (errno != 0 || end == s.c_str() || *end != '\0') return false;
-  if (v < min || v > max) return false;
-  *out = v;
-  return true;
-}
-
 /// Strict probability parse: a float in [0, 1].
 bool ParseProb(const std::string& s, double* out) {
   if (s.empty()) return false;
@@ -113,40 +81,24 @@ bool ParseProb(const std::string& s, double* out) {
 }
 
 bool ParseArgs(int argc, char** argv, Args* args) {
-  for (int i = 1; i < argc; ++i) {
-    const std::string flag = argv[i];
-    auto need_value = [&](std::string* dst) {
-      if (i + 1 >= argc) return false;
-      *dst = argv[++i];
-      return true;
-    };
-    auto int_flag = [&](int64_t min, int64_t max, int64_t* dst) {
-      std::string value;
-      if (!need_value(&value) || !ParseInt(value, min, max, dst)) {
-        std::fprintf(stderr, "invalid value for %s\n", flag.c_str());
-        return false;
-      }
-      return true;
-    };
+  tools::FlagReader r(argc, argv);
+  while (r.Next()) {
+    const std::string& flag = r.flag();
     auto prob_flag = [&](double* dst) {
       std::string value;
-      if (!need_value(&value) || !ParseProb(value, dst)) {
+      if (!r.Value(&value) || !ParseProb(value, dst)) {
         std::fprintf(stderr, "invalid probability for %s\n", flag.c_str());
         return false;
       }
       return true;
     };
-    std::string value;
-    if (flag == "--upstream" && need_value(&value)) {
-      args->upstream = value;
-    } else if (flag == "--port") {
-      if (!int_flag(0, 65535, &args->port)) return false;
-    } else if (flag == "--bind" && need_value(&value)) {
-      args->bind = value;
+    if (r.Is("--upstream", &args->upstream) || r.Is("--bind", &args->bind)) {
+      continue;
+    }
+    if (flag == "--port") {
+      if (!r.Int(0, 65535, &args->port)) return false;
     } else if (flag == "--seed") {
-      int64_t seed;
-      if (!int_flag(0, INT64_MAX, &seed)) return false;
-      args->seed = static_cast<uint64_t>(seed);
+      if (!r.Seed(&args->seed)) return false;
     } else if (flag == "--drop") {
       if (!prob_flag(&args->drop)) return false;
     } else if (flag == "--truncate") {
@@ -156,17 +108,15 @@ bool ParseArgs(int argc, char** argv, Args* args) {
     } else if (flag == "--delay") {
       if (!prob_flag(&args->delay)) return false;
     } else if (flag == "--delay-ms") {
-      if (!int_flag(0, 60000, &args->delay_ms)) return false;
+      if (!r.Int(0, 60000, &args->delay_ms)) return false;
     } else if (flag == "--blackout-after") {
-      if (!int_flag(-1, INT64_MAX, &args->blackout_after)) return false;
+      if (!r.Int(-1, INT64_MAX, &args->blackout_after)) return false;
     } else if (flag == "--blackout-queries") {
-      if (!int_flag(0, INT64_MAX, &args->blackout_queries)) return false;
+      if (!r.Int(0, INT64_MAX, &args->blackout_queries)) return false;
     } else if (flag == "--io-timeout-ms") {
-      if (!int_flag(1, INT64_MAX, &args->io_timeout_ms)) return false;
+      if (!r.Int(1, INT64_MAX, &args->io_timeout_ms)) return false;
     } else {
-      std::fprintf(stderr, "unknown or incomplete flag: %s\n",
-                   flag.c_str());
-      return false;
+      return r.Unknown();
     }
   }
   if (args->upstream.empty()) {
@@ -228,13 +178,7 @@ int main(int argc, char** argv) {
   std::printf("listening on %s:%u\n", args.bind.c_str(), proxy->port());
   std::fflush(stdout);
 
-  struct sigaction sa{};
-  sa.sa_handler = HandleSignal;
-  sigaction(SIGINT, &sa, nullptr);
-  sigaction(SIGTERM, &sa, nullptr);
-  while (!g_shutdown.load()) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(100));
-  }
+  tools::WaitForSignal();
 
   proxy->Stop();
   const service::FaultInjectingProxy::Stats stats = proxy->stats();
